@@ -6,20 +6,21 @@
 //!
 //! `max-regression` is a fraction (default `0.25`): the gate fails when any
 //! gated metric of the current run falls below
-//! `baseline * (1 - max_regression)`. Gated metrics are the end-to-end
-//! `process_frame` frame rates plus the batched window-ME throughput — the
-//! numbers the ROADMAP tracks per PR:
+//! `baseline * (1 - max_regression)`. Every metric is named by its full
+//! dotted JSON path, so a key nested under two entries (`overlapped_frames_per_s`
+//! sits in `end_to_end` and in `end_to_end.map_heavy`) is gated once per
+//! entry. Gated metrics are the end-to-end `process_frame` frame rates plus
+//! the batched window-ME throughput — the numbers the ROADMAP tracks per PR:
 //!
-//! * `serial_frames_per_s`
-//! * `parallel_frames_per_s`
-//! * `overlapped_frames_per_s`
-//! * `batched_pairs_per_s` (the one-submission keyframe-window ME path)
-//! * `map_overlapped_frames_per_s` (the Track ‖ Map axis on the map-heavy
-//!   configuration)
-//! * `s2_aggregate_frames_per_s` (the two-stream `MultiStreamServer`
-//!   aggregate on the shared worker pool)
-//! * `compacted_frames_per_s` (the map-heavy serial driver with compaction
-//!   on — pruning and quantization must not cost throughput)
+//! * `end_to_end.{serial,parallel,overlapped}_frames_per_s`
+//! * `motion_estimation.batched_window.batched_pairs_per_s` (the
+//!   one-submission keyframe-window ME path)
+//! * `end_to_end.map_heavy.{overlapped,map_overlapped}_frames_per_s` (the
+//!   map-heavy configuration without and with the Track ‖ Map axis)
+//! * `multi_stream.s2_aggregate_frames_per_s` (the two-stream
+//!   `MultiStreamServer` aggregate on the shared worker pool)
+//! * `compaction.compacted_frames_per_s` (the map-heavy serial run with
+//!   compaction on — pruning and quantization must not cost throughput)
 //!
 //! Some metrics are gated against an **absolute ceiling** instead of the
 //! baseline: `checkpoint_overhead_pct` (the slowdown the async durability
@@ -64,16 +65,16 @@
 use std::process::ExitCode;
 
 /// The gated metrics: end-to-end frames/s and batched-ME pairs/s (higher is
-/// better). Note `overlapped_frames_per_s` resolves to its **first**
-/// occurrence — the main `end_to_end` entry, not `map_heavy`'s nested copy.
-const GATED_KEYS: [&str; 7] = [
-    "serial_frames_per_s",
-    "parallel_frames_per_s",
-    "overlapped_frames_per_s",
-    "batched_pairs_per_s",
-    "map_overlapped_frames_per_s",
-    "s2_aggregate_frames_per_s",
-    "compacted_frames_per_s",
+/// better), by full JSON path.
+const GATED_KEYS: [&str; 8] = [
+    "end_to_end.serial_frames_per_s",
+    "end_to_end.parallel_frames_per_s",
+    "end_to_end.overlapped_frames_per_s",
+    "motion_estimation.batched_window.batched_pairs_per_s",
+    "end_to_end.map_heavy.overlapped_frames_per_s",
+    "end_to_end.map_heavy.map_overlapped_frames_per_s",
+    "multi_stream.s2_aggregate_frames_per_s",
+    "compaction.compacted_frames_per_s",
 ];
 
 /// Metrics with a hardware-independent ceiling (lower is better): the gate
@@ -91,10 +92,10 @@ const GATED_KEYS: [&str; 7] = [
 /// lazy restore) — wall-clock enough to absorb runner noise, tight enough
 /// that a hand-off degenerating into an outage trips it.
 const CEILING_KEYS: [(&str, f64); 4] = [
-    ("checkpoint_overhead_pct", 5.0),
-    ("compacted_map_bytes", 420_000.0),
-    ("shed_overhead_pct", 5.0),
-    ("migration_gap_ms", 5_000.0),
+    ("checkpoint.checkpoint_overhead_pct", 5.0),
+    ("compaction.compacted_map_bytes", 420_000.0),
+    ("overload.shed_overhead_pct", 5.0),
+    ("migration.migration_gap_ms", 5_000.0),
 ];
 
 /// Lower-is-better metrics gated against the baseline: the gate fails when
@@ -102,7 +103,7 @@ const CEILING_KEYS: [(&str, f64); 4] = [
 /// missing-key rules as the floors: no baseline skips, a dropped current
 /// value fails.
 const REGRESSION_CEILING_KEYS: [&str; 2] =
-    ["compaction_delta_bytes_per_epoch", "lazy_restore_bytes"];
+    ["compaction.compaction_delta_bytes_per_epoch", "migration.lazy_restore_bytes"];
 
 /// Metrics with a hardware-independent floor (higher is better): the gate
 /// fails when the *current* value falls below the floor. Same missing-key
@@ -111,22 +112,60 @@ const REGRESSION_CEILING_KEYS: [&str; 2] =
 /// same-host ratio (vectorized + projection-cache map stage vs the scalar
 /// reference within one bench run), so the floor travels across hardware
 /// classes.
-const FLOOR_KEYS: [(&str, f64); 1] = [("vectorized_map_speedup", 1.10)];
+const FLOOR_KEYS: [(&str, f64); 1] = [("end_to_end.vectorized_map_speedup", 1.10)];
 
-/// Extracts the first `"key": <number>` value from a JSON document.
+/// Extracts the number at a dotted key path (`"end_to_end.map_heavy.
+/// overlapped_frames_per_s"`) of a JSON document whose root is an object.
+/// Only a key at exactly that path matches: a same-named key elsewhere in
+/// the document never shadows it.
 ///
-/// The bench writes flat, machine-generated JSON with unique metric names,
-/// so a scanner is enough — no JSON dependency needed in CI.
-fn extract_metric(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest.find(':')?;
-    let value = rest[colon + 1..].trim_start();
-    let end = value
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(value.len());
-    value[..end].parse().ok()
+/// The bench writes machine-generated JSON, so a scanner tracking the open
+/// objects' keys is enough — no JSON dependency needed in CI.
+fn extract_metric(json: &str, path: &str) -> Option<f64> {
+    let bytes = json.as_bytes();
+    // Key of every open object/array, outermost (the unkeyed root) first.
+    let mut open: Vec<&str> = Vec::new();
+    // The key whose value comes next, if any.
+    let mut key: Option<&str> = None;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => {
+                let start = i + 1;
+                i = start;
+                while i < bytes.len() && bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+                let text = json.get(start..i)?;
+                let rest = json.get(i + 1..)?.trim_start();
+                key = rest.starts_with(':').then_some(text);
+                i = json.len() - rest.len() + usize::from(key.is_some());
+                continue;
+            }
+            b'{' | b'[' => open.push(key.take().unwrap_or("")),
+            b'}' | b']' => {
+                open.pop();
+                key = None;
+            }
+            b',' => key = None,
+            b'-' | b'0'..=b'9' => {
+                let end = json[i..]
+                    .find(|c: char| {
+                        !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
+                    })
+                    .map_or(json.len(), |n| i + n);
+                let here = open.iter().skip(1).copied().chain(key.take());
+                if here.eq(path.split('.')) {
+                    return json[i..end].parse().ok();
+                }
+                i = end;
+                continue;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    None
 }
 
 fn run(
@@ -211,8 +250,8 @@ fn run(
     // strictly fewer store bytes than the eager restore's double
     // materialization of the same chain, on any hardware.
     match (
-        extract_metric(current_json, "lazy_restore_bytes"),
-        extract_metric(current_json, "eager_restore_bytes"),
+        extract_metric(current_json, "migration.lazy_restore_bytes"),
+        extract_metric(current_json, "migration.eager_restore_bytes"),
     ) {
         (Some(lazy), Some(eager)) if lazy >= eager => {
             return Err(format!(
@@ -260,11 +299,12 @@ mod tests {
 
     fn doc(serial: f64, parallel: f64, overlapped: f64) -> String {
         format!(
-            r#"{{ "batched_window": {{ "batched_pairs_per_s": 100.0 }},
+            r#"{{ "motion_estimation": {{ "frame": [128, 96],
+                 "batched_window": {{ "batched_pairs_per_s": 100.0 }} }},
                  "end_to_end": {{ "serial_frames_per_s": {serial},
                  "parallel_frames_per_s": {parallel},
                  "overlapped_frames_per_s": {overlapped},
-                 "map_heavy": {{ "overlapped_frames_per_s": 1.0,
+                 "map_heavy": {{ "overlapped_frames_per_s": 40.0,
                  "map_overlapped_frames_per_s": 50.0 }} }},
                  "multi_stream": {{ "s1_aggregate_frames_per_s": 10.0,
                  "s2_aggregate_frames_per_s": 20.0 }} }}"#
@@ -272,13 +312,27 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_key_resolves_to_main_entry_not_map_heavy() {
-        // `map_heavy` nests its own `overlapped_frames_per_s`; the gated key
-        // must keep reading the first (main end-to-end) occurrence, and the
-        // map-overlap key must find the nested metric.
+    fn overlapped_paths_resolve_to_their_own_values() {
+        // `map_heavy` nests its own `overlapped_frames_per_s`: each path
+        // reads its own entry, neither shadows the other, and a regression
+        // of the nested one alone fails the gate.
         let json = doc(7.0, 8.0, 9.0);
-        assert_eq!(extract_metric(&json, "overlapped_frames_per_s"), Some(9.0));
-        assert_eq!(extract_metric(&json, "map_overlapped_frames_per_s"), Some(50.0));
+        assert_eq!(extract_metric(&json, "end_to_end.overlapped_frames_per_s"), Some(9.0));
+        assert_eq!(
+            extract_metric(&json, "end_to_end.map_heavy.overlapped_frames_per_s"),
+            Some(40.0)
+        );
+        assert_eq!(
+            extract_metric(&json, "end_to_end.map_heavy.map_overlapped_frames_per_s"),
+            Some(50.0)
+        );
+        // A bare key matches only at the root.
+        assert_eq!(extract_metric(&json, "overlapped_frames_per_s"), None);
+        let baseline = doc(10.0, 10.0, 10.0);
+        let current = baseline
+            .replace("\"overlapped_frames_per_s\": 40.0", "\"overlapped_frames_per_s\": 10.0");
+        let err = run(&baseline, &current, 0.25).unwrap_err();
+        assert!(err.contains("end_to_end.map_heavy.overlapped_frames_per_s"), "{err}");
     }
 
     #[test]
@@ -298,7 +352,7 @@ mod tests {
         // Only the S=2 aggregate is gated; the S=1 sibling key must not
         // shadow it in the scanner.
         let json = doc(1.0, 1.0, 1.0);
-        assert_eq!(extract_metric(&json, "s2_aggregate_frames_per_s"), Some(20.0));
+        assert_eq!(extract_metric(&json, "multi_stream.s2_aggregate_frames_per_s"), Some(20.0));
         let baseline = doc(10.0, 10.0, 10.0);
         let current = doc(10.0, 10.0, 10.0)
             .replace("\"s2_aggregate_frames_per_s\": 20.0", "\"s2_aggregate_frames_per_s\": 5.0");
@@ -309,9 +363,13 @@ mod tests {
     #[test]
     fn extracts_numbers_by_key() {
         let json = doc(7.5, 8.25, 7.9);
-        assert_eq!(extract_metric(&json, "serial_frames_per_s"), Some(7.5));
-        assert_eq!(extract_metric(&json, "parallel_frames_per_s"), Some(8.25));
-        assert_eq!(extract_metric(&json, "missing"), None);
+        assert_eq!(extract_metric(&json, "end_to_end.serial_frames_per_s"), Some(7.5));
+        assert_eq!(extract_metric(&json, "end_to_end.parallel_frames_per_s"), Some(8.25));
+        assert_eq!(
+            extract_metric(&json, "motion_estimation.batched_window.batched_pairs_per_s"),
+            Some(100.0)
+        );
+        assert_eq!(extract_metric(&json, "end_to_end.missing"), None);
     }
 
     #[test]
@@ -335,7 +393,7 @@ mod tests {
         let baseline = doc(10.0, 10.0, 10.0);
         let current = r#"{ "end_to_end": { "serial_frames_per_s": 10.0 } }"#;
         let err = run(&baseline, current, 0.25).unwrap_err();
-        assert!(err.contains("parallel_frames_per_s"), "{err}");
+        assert!(err.contains("end_to_end.parallel_frames_per_s"), "{err}");
     }
 
     #[test]
@@ -390,10 +448,10 @@ mod tests {
             r#"{{ "delta_bytes_per_epoch": 1.0, {} "#,
             &with_compaction(42.0, 300000.0, 7.0)[1..]
         );
-        assert_eq!(extract_metric(&json, "compacted_frames_per_s"), Some(42.0));
-        assert_eq!(extract_metric(&json, "uncompacted_frames_per_s"), Some(99.0));
+        assert_eq!(extract_metric(&json, "compaction.compacted_frames_per_s"), Some(42.0));
+        assert_eq!(extract_metric(&json, "compaction.uncompacted_frames_per_s"), Some(99.0));
         assert_eq!(extract_metric(&json, "delta_bytes_per_epoch"), Some(1.0));
-        assert_eq!(extract_metric(&json, "compaction_delta_bytes_per_epoch"), Some(7.0));
+        assert_eq!(extract_metric(&json, "compaction.compaction_delta_bytes_per_epoch"), Some(7.0));
     }
 
     #[test]
@@ -436,11 +494,13 @@ mod tests {
         assert!(err.contains("missing"), "{err}");
     }
 
-    /// Appends a `vectorized_map_speedup` entry to a `doc()` document the
-    /// way `with_overhead` appends `checkpoint`.
+    /// A `doc()` document whose `end_to_end` entry carries a
+    /// `vectorized_map_speedup`.
     fn with_vectorized_speedup(speedup: f64) -> String {
-        let d = doc(10.0, 10.0, 10.0);
-        format!(r#"{}, "vectorized_map_speedup": {speedup} }}"#, &d[..d.rfind('}').unwrap()])
+        doc(10.0, 10.0, 10.0).replace(
+            "\"end_to_end\": {",
+            &format!("\"end_to_end\": {{ \"vectorized_map_speedup\": {speedup},"),
+        )
     }
 
     #[test]
@@ -521,8 +581,8 @@ mod tests {
 
     #[test]
     fn parses_scientific_and_negative_numbers() {
-        let json = r#"{"serial_frames_per_s": 1.5e2, "parallel_frames_per_s": -3}"#;
-        assert_eq!(extract_metric(json, "serial_frames_per_s"), Some(150.0));
-        assert_eq!(extract_metric(json, "parallel_frames_per_s"), Some(-3.0));
+        let json = r#"{"end_to_end": {"serial_frames_per_s": 1.5e2, "parallel_frames_per_s": -3}}"#;
+        assert_eq!(extract_metric(json, "end_to_end.serial_frames_per_s"), Some(150.0));
+        assert_eq!(extract_metric(json, "end_to_end.parallel_frames_per_s"), Some(-3.0));
     }
 }

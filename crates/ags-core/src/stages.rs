@@ -29,14 +29,16 @@ use ags_math::{Pcg32, Se3};
 use ags_scene::PinholeCamera;
 use ags_slam::keyframes::{KeyframeStore, StoredKeyframe};
 use ags_slam::{Backbone, WorkUnits};
-use ags_splat::backward::{backward_with, GradMode};
+use ags_splat::backward::{backward, GradMode};
 use ags_splat::cache::ProjectionCache;
 use ags_splat::compact::{prune_cloud, quantize_chunk_in_place, FULL_SPLAT_BYTES, QUANT_CHUNK};
 use ags_splat::densify::densify_from_frame;
 use ags_splat::loss::compute_loss;
 use ags_splat::optim::{Adam, AdamState};
 use ags_splat::project::Projection;
-use ags_splat::render::{rasterize, RenderOptions, RenderOutput, TileWork};
+use ags_splat::render::{
+    rasterize, rasterize_logged, BlendLog, RenderOptions, RenderOutput, TileWork,
+};
 use ags_splat::snapshot::{CloudSnapshot, SharedCloud};
 use ags_splat::{GaussianCloud, IdSet, Remap};
 use ags_track::coarse::{CoarseTracker, CoarseTrackerState};
@@ -332,6 +334,9 @@ pub struct MapStage {
     /// identical results from a cold cache is exactly the cache's
     /// correctness contract; only the observational hit counters differ.
     cache: ProjectionCache,
+    /// Forward→backward hand-off of every mapping iteration's per-pixel
+    /// blend lists; transient scratch, its buffers reused across iterations.
+    blend_log: BlendLog,
 }
 
 impl MapStage {
@@ -352,6 +357,7 @@ impl MapStage {
             // Enough pose slots for the mapping-window rotation (current
             // frame + window key frames) plus the densify/audit renders.
             cache: ProjectionCache::with_capacity(config.slam.mapping_window + 2),
+            blend_log: BlendLog::default(),
         }
     }
 
@@ -399,6 +405,7 @@ impl MapStage {
             last_touched: state.last_touched,
             quantized_chunks: state.quantized_chunks,
             cache: ProjectionCache::with_capacity(config.slam.mapping_window + 2),
+            blend_log: BlendLog::default(),
         }
     }
 
@@ -850,17 +857,17 @@ impl MapStage {
         let projection = self.project(cloud, camera, pose);
         let backend = self.config.backend.backend();
         let tables = backend.build_tables(&projection, camera, &self.config.parallelism);
-        let mut render = rasterize(cloud, &projection, &tables, camera, &options);
+        let mut render =
+            rasterize_logged(cloud, &projection, &tables, camera, &options, &mut self.blend_log);
         let loss = compute_loss(&render, rgb, depth, &self.config.slam.mapping_loss);
-        let mut back = backward_with(
-            self.config.backend,
+        let mut back = backward(
             cloud,
             &projection,
             &tables,
             camera,
             &loss,
+            &self.blend_log,
             GradMode::Map,
-            skip.map(Arc::as_ref),
             &self.config.parallelism,
         );
         let track_touches = self.config.slam.compaction.enabled();

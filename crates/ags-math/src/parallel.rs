@@ -620,6 +620,37 @@ where
     out
 }
 
+/// A slice base pointer shared by the claimers of disjoint index ranges.
+struct SendPtr<T>(*mut T);
+
+// SAFETY: every user hands each index to exactly one claimer, so each
+// element is mutated by a single thread.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
+
+impl<T> SendPtr<T> {
+    fn at(&self, j: usize) -> *mut T {
+        // Method access keeps the closure capturing `&SendPtr` (Sync)
+        // rather than the raw pointer field itself.
+        unsafe { self.0.add(j) }
+    }
+}
+
+/// [`par_map`] over a mutable slice: computes `[f(0, &mut items[0]), …]`
+/// with `par_map`'s chunking, so each element is lent mutably to the one
+/// claimer of its index. Output order always matches the serial map.
+pub fn par_map_mut<T, R, F>(par: &Parallelism, items: &mut [T], min_chunk: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let base = SendPtr(items.as_mut_ptr());
+    // SAFETY: `par_map` calls `f(i)` exactly once per `i < items.len()`, so
+    // the `&mut` borrows are disjoint and in bounds; `items` stays mutably
+    // borrowed until every call returned.
+    par_map(par, items.len(), min_chunk, |i| f(i, unsafe { &mut *base.at(i) }))
+}
+
 /// Applies `f(index, &mut item)` to every element, splitting the slice into
 /// one contiguous chunk per executor. Items are mutated in place; because
 /// each element is touched by exactly one claimer the result is identical to
@@ -641,17 +672,6 @@ where
     let chunk = n.div_ceil(workers);
     let num_chunks = n.div_ceil(chunk);
 
-    struct SendPtr<T>(*mut T);
-    // SAFETY: disjoint index ranges per chunk; each element mutated by the
-    // single claimer of its chunk.
-    unsafe impl<T: Send> Sync for SendPtr<T> {}
-    impl<T> SendPtr<T> {
-        fn at(&self, j: usize) -> *mut T {
-            // Method access keeps the closure capturing `&SendPtr` (Sync)
-            // rather than the raw pointer field itself.
-            unsafe { self.0.add(j) }
-        }
-    }
     let base = SendPtr(items.as_mut_ptr());
     let run = |ci: usize| {
         let start = ci * chunk;
@@ -779,6 +799,21 @@ mod tests {
         for par in [Parallelism::serial(), Parallelism::with_threads(4)] {
             let mut items = vec![0u32; 257];
             par_for_each_mut(&par, &mut items, 8, |i, v| *v += i as u32 + 1);
+            for (i, v) in items.iter().enumerate() {
+                assert_eq!(*v, i as u32 + 1, "{par:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_mut_lends_every_item_once_in_order() {
+        for par in [Parallelism::serial(), Parallelism::with_threads(4)] {
+            let mut items = vec![0u32; 257];
+            let out = par_map_mut(&par, &mut items, 1, |i, v| {
+                *v += i as u32 + 1;
+                i * 2
+            });
+            assert_eq!(out, (0..257).map(|i| i * 2).collect::<Vec<_>>(), "{par:?}");
             for (i, v) in items.iter().enumerate() {
                 assert_eq!(*v, i as u32 + 1, "{par:?}");
             }

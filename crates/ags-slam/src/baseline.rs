@@ -6,12 +6,12 @@ use crate::work::WorkUnits;
 use ags_image::{DepthImage, RgbImage};
 use ags_math::{Pcg32, Se3};
 use ags_scene::PinholeCamera;
-use ags_splat::backward::{backward_with, GradMode};
+use ags_splat::backward::{backward, GradMode};
 use ags_splat::compact::prune_cloud;
 use ags_splat::densify::densify_from_frame;
 use ags_splat::loss::compute_loss;
 use ags_splat::optim::Adam;
-use ags_splat::render::{rasterize, RenderOptions, TileWork};
+use ags_splat::render::{rasterize_logged, BlendLog, RenderOptions, TileWork};
 use ags_splat::train::StepReport;
 use ags_splat::GaussianCloud;
 use ags_track::fine::{GsPoseRefiner, RefineConfig};
@@ -58,6 +58,8 @@ pub struct BaselineSlam {
     keyframe_count: usize,
     /// Gaussians with id below this are frozen (Gaussian-SLAM sub-maps).
     trainable_from: usize,
+    /// Forward→backward hand-off of the mapping iterations' blend lists.
+    blend_log: BlendLog,
 }
 
 impl BaselineSlam {
@@ -83,6 +85,7 @@ impl BaselineSlam {
             frame_count: 0,
             keyframe_count: 0,
             trainable_from: 0,
+            blend_log: BlendLog::default(),
         }
     }
 
@@ -255,17 +258,23 @@ impl BaselineSlam {
         let backend = self.config.backend.backend();
         let projection = backend.project(&self.cloud, camera, pose);
         let tables = backend.build_tables(&projection, camera, &options.parallelism);
-        let render = rasterize(&self.cloud, &projection, &tables, camera, &options);
+        let render = rasterize_logged(
+            &self.cloud,
+            &projection,
+            &tables,
+            camera,
+            &options,
+            &mut self.blend_log,
+        );
         let loss = compute_loss(&render, rgb, depth, &self.config.mapping_loss);
-        let mut back = backward_with(
-            self.config.backend,
+        let mut back = backward(
             &self.cloud,
             &projection,
             &tables,
             camera,
             &loss,
+            &self.blend_log,
             GradMode::Map,
-            None,
             &options.parallelism,
         );
         if let Some(grads) = back.grads.as_mut() {

@@ -1,13 +1,13 @@
 //! Pluggable render backends behind one trait.
 //!
-//! The splat pipeline's four kernels — projection (①), tile binning (②),
-//! forward rasterization (③) and the backward pass (④) — sit behind
-//! [`RenderBackend`] so alternative implementations can slot in per stream.
-//! Two CPU backends ship today:
+//! The splat pipeline's forward kernels — projection (①), tile binning (②)
+//! and rasterization (③) — sit behind [`RenderBackend`] so alternative
+//! implementations can slot in per stream. The backward pass (④) is shared:
+//! it walks the [`crate::render::BlendLog`] the forward tile kernel records,
+//! so it never re-evaluates a splat. Two CPU backends ship today:
 //!
-//! * [`ReferenceBackend`] — the scalar row kernels in [`crate::render`] /
-//!   [`crate::backward`], the bit-exactness anchor every other backend is
-//!   measured against.
+//! * [`ReferenceBackend`] — the scalar row kernels in [`crate::render`],
+//!   the bit-exactness anchor every other backend is measured against.
 //! * [`VectorizedBackend`] — repacks each tile's Gaussian table into
 //!   structure-of-arrays slabs and evaluates the Mahalanobis quadratic four
 //!   pixels wide with `std::arch` SSE2/NEON kernels (portable chunked
@@ -15,26 +15,24 @@
 //!   negligible pixels. **Bit-identical to the reference**: per-lane SIMD
 //!   mul/add/sub are IEEE-exact, the quadratic replicates the scalar
 //!   operation order term for term, and blending keeps the scalar branch
-//!   structure — so outputs, gradients and every workload counter match the
-//!   reference bit for bit (enforced by the tests in this module and by the
+//!   structure — so outputs, blend logs (hence gradients) and every workload
+//!   counter match the reference bit for bit (enforced by the tests in this module and by the
 //!   determinism suites running under `AGS_RENDER_BACKEND=vectorized`).
 //!
 //! A future `wgpu` backend implements the same trait; the sorted table
 //! layout produced by [`RenderBackend::build_tables`] is the inter-stage
 //! contract it must honour.
 
-use crate::backward::{
-    chunk_with_scratch, reverse_blend_pixel, BackwardStats, ChunkGrads, Contribution,
-};
 use crate::gaussian::GaussianCloud;
 use crate::idset::IdSet;
-use crate::loss::LossResult;
 use crate::project::{project_gaussians, Projection};
-use crate::render::{rasterize_tile, splat_covers_tile, RenderOptions, TileRaster};
+use crate::render::{
+    rasterize_tile, splat_covers_tile, Contribution, RenderOptions, TileLog, TileRaster,
+};
 use crate::tiles::{GaussianTables, TableEntry};
 use crate::{ALPHA_THRESHOLD, TILE_SIZE, TRANSMITTANCE_MIN};
 use ags_math::parallel::Parallelism;
-use ags_math::{Se3, Vec2, Vec3};
+use ags_math::{Se3, Vec3};
 use ags_scene::PinholeCamera;
 use std::sync::OnceLock;
 
@@ -90,13 +88,13 @@ impl BackendKind {
     }
 }
 
-/// One implementation of the four splat kernels.
+/// One implementation of the forward splat kernels.
 ///
 /// Steps ① (projection) and ② (binning) have shared default bodies — their
 /// outputs are the inter-stage contract (sorted per-tile tables of
 /// [`TableEntry`]), and a backend overriding them must reproduce the same
-/// entries in the same order. Steps ③ and ④ are the per-tile hot loops each
-/// backend supplies.
+/// entries in the same order. Step ③ is the per-tile hot loop each backend
+/// supplies; its blend log is the contract with the shared backward pass.
 pub trait RenderBackend: Send + Sync + std::fmt::Debug {
     /// Which [`BackendKind`] this backend implements.
     fn kind(&self) -> BackendKind;
@@ -121,7 +119,8 @@ pub trait RenderBackend: Send + Sync + std::fmt::Debug {
         GaussianTables::build_with(projection, camera, parallelism)
     }
 
-    /// Step ③: rasterizes one tile into tile-local buffers.
+    /// Step ③: rasterizes one tile into tile-local buffers and, with a
+    /// `log`, records every pixel's blend list (in blend order) into it.
     fn rasterize_tile(
         &self,
         projection: &Projection,
@@ -129,19 +128,8 @@ pub trait RenderBackend: Send + Sync + std::fmt::Debug {
         bounds: (usize, usize, usize, usize),
         tile_idx: usize,
         options: &RenderOptions,
+        log: Option<&mut TileLog>,
     ) -> TileRaster;
-
-    /// Step ④: accumulates screen-space gradients over a chunk of tiles.
-    #[allow(clippy::too_many_arguments)]
-    fn backward_chunk(
-        &self,
-        projection: &Projection,
-        tables: &GaussianTables,
-        camera: &PinholeCamera,
-        loss: &LossResult,
-        skip: Option<&IdSet>,
-        tile_range: std::ops::Range<usize>,
-    ) -> ChunkGrads;
 }
 
 /// The scalar reference backend — today's row kernels, unchanged.
@@ -160,20 +148,9 @@ impl RenderBackend for ReferenceBackend {
         bounds: (usize, usize, usize, usize),
         tile_idx: usize,
         options: &RenderOptions,
+        log: Option<&mut TileLog>,
     ) -> TileRaster {
-        rasterize_tile(projection, table, bounds, tile_idx, options)
-    }
-
-    fn backward_chunk(
-        &self,
-        projection: &Projection,
-        tables: &GaussianTables,
-        camera: &PinholeCamera,
-        loss: &LossResult,
-        skip: Option<&IdSet>,
-        tile_range: std::ops::Range<usize>,
-    ) -> ChunkGrads {
-        crate::backward::backward_tile_chunk(projection, tables, camera, loss, skip, tile_range)
+        rasterize_tile(projection, table, bounds, tile_idx, options, log)
     }
 }
 
@@ -193,22 +170,9 @@ impl RenderBackend for VectorizedBackend {
         bounds: (usize, usize, usize, usize),
         tile_idx: usize,
         options: &RenderOptions,
+        log: Option<&mut TileLog>,
     ) -> TileRaster {
-        rasterize_tile_vec(projection, table, bounds, tile_idx, options)
-    }
-
-    fn backward_chunk(
-        &self,
-        projection: &Projection,
-        tables: &GaussianTables,
-        camera: &PinholeCamera,
-        loss: &LossResult,
-        skip: Option<&IdSet>,
-        tile_range: std::ops::Range<usize>,
-    ) -> ChunkGrads {
-        chunk_with_scratch(projection.splats.len(), |slot_of| {
-            backward_tile_chunk_vec(projection, tables, camera, loss, skip, tile_range, slot_of)
-        })
+        rasterize_tile_vec(projection, table, bounds, tile_idx, options, log)
     }
 }
 
@@ -445,15 +409,14 @@ impl TileSlab {
         self.interior.clear();
     }
 
-    /// Fills the slab from a tile's table. `bounds` enables the
-    /// tile-interior classification (forward pass only; the backward replay
-    /// has no interior fast path and passes `None`).
+    /// Fills the slab from a tile's table, classifying each entry against
+    /// the tile `bounds` for the interior fast path.
     fn fill(
         &mut self,
         projection: &Projection,
         table: &[TableEntry],
         skip: Option<&IdSet>,
-        bounds: Option<(usize, usize, usize, usize)>,
+        bounds: (usize, usize, usize, usize),
     ) {
         self.clear();
         for entry in table {
@@ -470,7 +433,7 @@ impl TileSlab {
             self.color.push(splat.color);
             self.depth.push(splat.depth);
             self.skipped.push(skipped);
-            self.interior.push(!skipped && bounds.is_some_and(|b| splat_covers_tile(splat, b)));
+            self.interior.push(!skipped && splat_covers_tile(splat, bounds));
         }
     }
 }
@@ -489,6 +452,7 @@ std::thread_local! {
 /// One slab entry's walk over a pixel row: the SoA fields plus the row-local
 /// accumulators it blends into (the vectorized twin of `render::RowPass`).
 struct VecRowPass<'a> {
+    splat_index: u32,
     opacity: f32,
     color: Vec3,
     depth: f32,
@@ -497,6 +461,8 @@ struct VecRowPass<'a> {
     qrow: &'a [f32],
     /// `(id, touched, negligible)` counters of this entry, when recording.
     contrib: Option<&'a mut (u32, u32, u32)>,
+    /// The row's blend-log lanes, when logging.
+    log: Option<&'a mut [Vec<Contribution>]>,
     active: &'a mut Vec<u32>,
     row_t: &'a mut [f32],
     row_c: &'a mut [Vec3],
@@ -510,9 +476,10 @@ struct VecRowPass<'a> {
 /// vector-evaluated `q` row. Branch structure and blend arithmetic replicate
 /// `render::blend_entry_row` exactly; the only deviation is the α-cut
 /// (`q > qcut`), which skips an `exp` whose value the scalar path provably
-/// discards — so counters and outputs stay bit-identical.
+/// discards — so counters and outputs stay bit-identical. `LOG` gates the
+/// blend-log recording as in the scalar kernel.
 #[inline(always)]
-fn blend_entry_row_vec<const INTERIOR: bool>(pass: &mut VecRowPass<'_>) {
+fn blend_entry_row_vec<const INTERIOR: bool, const LOG: bool>(pass: &mut VecRowPass<'_>) {
     let mut i = 0usize;
     while i < pass.active.len() {
         let px_off = pass.active[i] as usize;
@@ -530,7 +497,8 @@ fn blend_entry_row_vec<const INTERIOR: bool>(pass: &mut VecRowPass<'_>) {
             continue;
         }
         let g = if q < 0.0 { 0.0 } else { (-0.5 * q).exp() };
-        let alpha = (pass.opacity * g).min(0.99);
+        let raw_alpha = pass.opacity * g;
+        let alpha = raw_alpha.min(0.99);
         if INTERIOR {
             debug_assert!(alpha >= ALPHA_THRESHOLD, "interior test must be conservative");
         }
@@ -546,6 +514,15 @@ fn blend_entry_row_vec<const INTERIOR: bool>(pass: &mut VecRowPass<'_>) {
         }
         pass.row_blends[px_off] += 1;
         let t = pass.row_t[px_off];
+        if let Some(lanes) = pass.log.as_deref_mut().filter(|_| LOG) {
+            lanes[px_off].push(Contribution {
+                splat_index: pass.splat_index,
+                alpha,
+                weight: g,
+                t_before: t,
+                clamped: raw_alpha > 0.99,
+            });
+        }
         pass.row_c[px_off] += pass.color * (t * alpha);
         pass.row_d[px_off] += pass.depth * (t * alpha);
         let t = t * (1.0 - alpha);
@@ -560,19 +537,23 @@ fn blend_entry_row_vec<const INTERIOR: bool>(pass: &mut VecRowPass<'_>) {
 }
 
 /// Vectorized tile rasterizer: SoA slab + row-wide quadratic evaluation +
-/// α-cut, structured exactly like `render::rasterize_tile` so outputs and
-/// every workload counter are bit-identical to it.
+/// α-cut, structured exactly like `render::rasterize_tile` so outputs, blend
+/// logs and every workload counter are bit-identical to it.
 fn rasterize_tile_vec(
     projection: &Projection,
     table: &[TableEntry],
     bounds: (usize, usize, usize, usize),
     tile_idx: usize,
     options: &RenderOptions,
+    mut log: Option<&mut TileLog>,
 ) -> TileRaster {
     let (x0, y0, x1, y1) = bounds;
     let tile_w = x1 - x0;
     let tile_h = y1 - y0;
     let mut out = TileRaster::empty(tile_idx, tile_w, tile_h, options);
+    if let Some(log) = log.as_deref_mut() {
+        log.reset(tile_w);
+    }
     if table.is_empty() {
         return out;
     }
@@ -586,7 +567,7 @@ fn rasterize_tile_vec(
 
     SLAB_SCRATCH.with(|cell| {
         let mut slab = cell.borrow_mut();
-        slab.fill(projection, table, options.skip.as_deref(), Some(bounds));
+        slab.fill(projection, table, options.skip.as_deref(), bounds);
         out.interior_pairs = slab.interior.iter().filter(|&&fast| fast).count() as u64;
 
         // Pixel-center x coordinates of the row, shared by every entry.
@@ -614,7 +595,7 @@ fn rasterize_tile_vec(
             active.extend(0..tile_w as u32);
             let fy = py as f32;
 
-            for (k, _) in table.iter().enumerate() {
+            for (k, entry) in table.iter().enumerate() {
                 if slab.skipped[k] {
                     continue;
                 }
@@ -626,12 +607,14 @@ fn rasterize_tile_vec(
                 let contrib =
                     options.record_contributions.then(|| out.contributions.get_mut(k)).flatten();
                 let mut pass = VecRowPass {
+                    splat_index: entry.splat_index,
                     opacity: slab.opacity[k],
                     color: slab.color[k],
                     depth: slab.depth[k],
                     qcut: slab.qcut[k],
                     qrow: &qrow[..tile_w],
                     contrib,
+                    log: log.as_deref_mut().map(TileLog::row_lanes),
                     active: &mut active,
                     row_t: &mut row_t,
                     row_c: &mut row_c,
@@ -640,10 +623,11 @@ fn rasterize_tile_vec(
                     row_blends: &mut row_blends,
                     early_terminated: &mut out.early_terminated,
                 };
-                if slab.interior[k] {
-                    blend_entry_row_vec::<true>(&mut pass);
-                } else {
-                    blend_entry_row_vec::<false>(&mut pass);
+                match (slab.interior[k], pass.log.is_some()) {
+                    (true, false) => blend_entry_row_vec::<true, false>(&mut pass),
+                    (false, false) => blend_entry_row_vec::<false, false>(&mut pass),
+                    (true, true) => blend_entry_row_vec::<true, true>(&mut pass),
+                    (false, true) => blend_entry_row_vec::<false, true>(&mut pass),
                 }
                 if active.is_empty() {
                     if k + 1 < table.len() {
@@ -653,6 +637,9 @@ fn rasterize_tile_vec(
                 }
             }
 
+            if let Some(log) = log.as_deref_mut() {
+                log.flush_row();
+            }
             let row_base = (py - y0) * tile_w;
             for px_off in 0..tile_w {
                 out.alpha_evals += row_evals[px_off] as u64;
@@ -678,163 +665,13 @@ fn rasterize_tile_vec(
     out
 }
 
-// ---------------------------------------------------------------------------
-// Vectorized backward chunk kernel.
-// ---------------------------------------------------------------------------
-
-/// Vectorized forward replay for one chunk of tiles: per pixel row, the
-/// quadratic is evaluated row-wide and each surviving lane records its
-/// [`Contribution`] list; the recorded lists then run through the shared
-/// [`reverse_blend_pixel`] in the reference's pixel order (row-major), so
-/// first-touch slot order and every f32 accumulation are bit-identical to
-/// the scalar chunk kernel.
-#[allow(clippy::too_many_arguments)]
-fn backward_tile_chunk_vec(
-    projection: &Projection,
-    tables: &GaussianTables,
-    camera: &PinholeCamera,
-    loss: &LossResult,
-    skip: Option<&IdSet>,
-    tile_range: std::ops::Range<usize>,
-    slot_of: &mut [u32],
-) -> ChunkGrads {
-    let mut splats: Vec<u32> = Vec::new();
-    let mut grads = Vec::new();
-    let mut stats = BackwardStats::default();
-    let width = camera.width;
-
-    // Per-lane replay state for one pixel row.
-    let mut scratch: Vec<Vec<Contribution>> =
-        (0..TILE_SIZE).map(|_| Vec::with_capacity(64)).collect();
-    let mut dl_dc_lane = [Vec3::ZERO; TILE_SIZE];
-    let mut dl_dd_lane = [0.0f32; TILE_SIZE];
-    let mut has_loss = [false; TILE_SIZE];
-    let mut t_lane = [1.0f32; TILE_SIZE];
-    let mut fx = [0.0f32; TILE_SIZE];
-    let mut qrow = [0.0f32; TILE_SIZE];
-    let mut active: Vec<u32> = Vec::with_capacity(TILE_SIZE);
-
-    SLAB_SCRATCH.with(|cell| {
-        let mut slab = cell.borrow_mut();
-        for tile_idx in tile_range {
-            let table = &tables.tables[tile_idx];
-            if table.is_empty() {
-                continue;
-            }
-            let (x0, y0, x1, y1) = tables.grid.tile_bounds(tile_idx);
-            let tile_w = x1 - x0;
-            slab.fill(projection, table, skip, None);
-            for (i, f) in fx.iter_mut().enumerate().take(tile_w) {
-                *f = (x0 + i) as f32;
-            }
-
-            for py in y0..y1 {
-                let fy = py as f32;
-                active.clear();
-                for px_off in 0..tile_w {
-                    let pi = py * width + (x0 + px_off);
-                    let dl_dc = loss.d_color[pi];
-                    let dl_dd = loss.d_depth[pi];
-                    // Lanes with zero loss gradient are never replayed — the
-                    // scalar reference skips those pixels entirely.
-                    let live = !(dl_dc == Vec3::ZERO && dl_dd == 0.0);
-                    has_loss[px_off] = live;
-                    dl_dc_lane[px_off] = dl_dc;
-                    dl_dd_lane[px_off] = dl_dd;
-                    t_lane[px_off] = 1.0;
-                    scratch[px_off].clear();
-                    if live {
-                        active.push(px_off as u32);
-                    }
-                }
-                if active.is_empty() {
-                    continue;
-                }
-
-                for (k, entry) in table.iter().enumerate() {
-                    if slab.skipped[k] {
-                        continue;
-                    }
-                    let dy = fy - slab.mean_y[k];
-                    let t3 = (slab.c[k] * dy) * dy;
-                    let coeffs = QuadCoeffs {
-                        mean_x: slab.mean_x[k],
-                        a: slab.a[k],
-                        s2b: slab.s2b[k],
-                        dy,
-                        t3,
-                    };
-                    quad_row(&fx[..tile_w], &mut qrow[..tile_w], &coeffs);
-                    let mut i = 0usize;
-                    while i < active.len() {
-                        let l = active[i] as usize;
-                        let q = qrow[l];
-                        // α-cut: provably below the threshold — the scalar
-                        // replay computes α and `continue`s without touching
-                        // any state.
-                        if q < 0.0 || q > slab.qcut[k] {
-                            i += 1;
-                            continue;
-                        }
-                        let g = (-0.5 * q).exp();
-                        let raw_alpha = slab.opacity[k] * g;
-                        let alpha = raw_alpha.min(0.99);
-                        if alpha < ALPHA_THRESHOLD {
-                            i += 1;
-                            continue;
-                        }
-                        scratch[l].push(Contribution {
-                            splat_index: entry.splat_index,
-                            alpha,
-                            weight: g,
-                            t_before: t_lane[l],
-                            clamped: raw_alpha > 0.99,
-                        });
-                        t_lane[l] *= 1.0 - alpha;
-                        if t_lane[l] < TRANSMITTANCE_MIN {
-                            // The scalar replay `break`s for this pixel.
-                            active.swap_remove(i);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if active.is_empty() {
-                        break;
-                    }
-                }
-
-                // Reverse accumulation in the reference's pixel order.
-                for px_off in 0..tile_w {
-                    if !has_loss[px_off] {
-                        continue;
-                    }
-                    stats.pixels += 1;
-                    let pixel = Vec2::new((x0 + px_off) as f32, fy);
-                    reverse_blend_pixel(
-                        projection,
-                        pixel,
-                        dl_dc_lane[px_off],
-                        dl_dd_lane[px_off],
-                        &scratch[px_off],
-                        slot_of,
-                        &mut splats,
-                        &mut grads,
-                        &mut stats,
-                    );
-                }
-            }
-        }
-    });
-    ChunkGrads { splats, grads, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backward::{backward_with, GradMode};
+    use crate::backward::{backward, GradMode};
     use crate::gaussian::Gaussian;
     use crate::loss::{compute_loss, LossConfig, LossKind};
-    use crate::render::{rasterize, render};
+    use crate::render::{rasterize, rasterize_logged, render, BlendLog};
     use ags_image::{DepthImage, RgbImage};
     use ags_math::{Pcg32, Vec3};
     use std::sync::Arc;
@@ -1035,13 +872,14 @@ mod tests {
         }
     }
 
+    /// Gradients from the vectorized kernel's blend log must match those
+    /// from the reference kernel's, at every forward/backward thread count.
     #[test]
     fn vectorized_backward_is_bit_identical_to_reference() {
         let (cloud, skip, cam) = stress_scene();
         let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
         let tables = GaussianTables::build(&projection, &cam);
-        let options =
-            RenderOptions { skip: Some(Arc::new(skip.clone())), ..RenderOptions::default() };
+        let options = RenderOptions { skip: Some(Arc::new(skip)), ..RenderOptions::default() };
         let out = rasterize(&cloud, &projection, &tables, &cam, &options);
         let mut gt_rng = Pcg32::seeded(5);
         let gt_rgb = RgbImage::from_vec(
@@ -1057,17 +895,10 @@ mod tests {
                 None => Parallelism::serial(),
                 Some(t) => Parallelism::with_threads(t).min_items(0),
             };
-            backward_with(
-                backend,
-                &cloud,
-                &projection,
-                &tables,
-                &cam,
-                &loss,
-                GradMode::Both,
-                Some(&skip),
-                &par,
-            )
+            let options = RenderOptions { parallelism: par.clone(), backend, ..options.clone() };
+            let mut log = BlendLog::default();
+            rasterize_logged(&cloud, &projection, &tables, &cam, &options, &mut log);
+            backward(&cloud, &projection, &tables, &cam, &loss, &log, GradMode::Both, &par)
         };
         let reference = run(BackendKind::Reference, None);
         let rg = reference.grads.as_ref().unwrap();

@@ -7,6 +7,10 @@
 //! (and optionally *recorded* — the raw signal behind AGS's
 //! contribution-aware mapping), and pixels terminate early once
 //! `T < `[`crate::TRANSMITTANCE_MIN`].
+//!
+//! When a backward pass follows, [`rasterize_logged`] also records every
+//! pixel's blend list into a [`BlendLog`], so the gradient pass walks the
+//! forward's own contributions instead of replaying the traversal.
 
 use crate::backend::BackendKind;
 use crate::gaussian::GaussianCloud;
@@ -15,7 +19,7 @@ use crate::project::{falloff, Projection, Splat2d};
 use crate::tiles::{GaussianTables, TableEntry};
 use crate::{ALPHA_THRESHOLD, TRANSMITTANCE_MIN};
 use ags_image::{DepthImage, GrayImage, RgbImage};
-use ags_math::parallel::{par_map, Parallelism};
+use ags_math::parallel::{par_map, par_map_mut, Parallelism};
 use ags_math::{Se3, Vec2, Vec3};
 use ags_scene::PinholeCamera;
 use std::sync::Arc;
@@ -150,6 +154,75 @@ pub struct RenderOutput {
     pub contributions: Option<ContributionStats>,
 }
 
+/// One blend-stage contribution of a splat to a pixel, as the forward pass
+/// blended it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Contribution {
+    /// Index into [`Projection::splats`].
+    pub(crate) splat_index: u32,
+    /// Blended α (`opacity · g`, clamped to 0.99).
+    pub(crate) alpha: f32,
+    /// Falloff `g = exp(-½ dᵀ K d)`.
+    pub(crate) weight: f32,
+    /// Transmittance before this contribution.
+    pub(crate) t_before: f32,
+    /// Raw α exceeded the 0.99 clamp (α no longer depends on opacity or `g`).
+    pub(crate) clamped: bool,
+}
+
+/// Every pixel's blend list from one forward pass, in blend order — what
+/// [`crate::backward::backward`] differentiates through.
+///
+/// Filled by [`rasterize_logged`] and owned by the caller, who reuses it
+/// across iterations: each logged render overwrites it in place and keeps
+/// its buffers' capacity.
+#[derive(Debug, Default)]
+pub struct BlendLog {
+    pub(crate) tiles: Vec<TileLog>,
+}
+
+/// One tile's share of a [`BlendLog`]: a flat entry arena plus per-pixel
+/// offsets, pixels row-major within the tile.
+#[derive(Debug, Default)]
+pub struct TileLog {
+    pub(crate) entries: Vec<Contribution>,
+    /// `offsets[i]..offsets[i + 1]` indexes pixel `i`'s entries.
+    offsets: Vec<u32>,
+    /// Per-column staging for the row being rasterized. The row kernels walk
+    /// the table entry-major, so a pixel's entries arrive interleaved with
+    /// its neighbours'; [`TileLog::flush_row`] packs them pixel by pixel.
+    row: Vec<Vec<Contribution>>,
+}
+
+impl TileLog {
+    /// Empties the log for a tile `tile_w` pixels wide, keeping capacity.
+    pub(crate) fn reset(&mut self, tile_w: usize) {
+        self.entries.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.row.resize_with(tile_w, Vec::new);
+    }
+
+    /// The staging lanes of the current row, indexed by pixel column.
+    pub(crate) fn row_lanes(&mut self) -> &mut [Vec<Contribution>] {
+        &mut self.row
+    }
+
+    /// Appends the staged row to the arena in pixel order.
+    pub(crate) fn flush_row(&mut self) {
+        for lane in &mut self.row {
+            self.entries.extend_from_slice(lane);
+            lane.clear();
+            self.offsets.push(self.entries.len() as u32);
+        }
+    }
+
+    /// Pixel `i`'s blend list (row-major index within the tile).
+    pub(crate) fn pixel(&self, i: usize) -> &[Contribution] {
+        &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
 /// Projects, bins and rasterizes the cloud in one call.
 pub fn render(
     cloud: &GaussianCloud,
@@ -254,8 +327,11 @@ pub(crate) fn splat_covers_tile(splat: &Splat2d, bounds: (usize, usize, usize, u
 /// accumulators it blends into.
 struct RowPass<'a> {
     splat: &'a Splat2d,
+    splat_index: u32,
     /// `(id, touched, negligible)` counters of this entry, when recording.
     contrib: Option<&'a mut (u32, u32, u32)>,
+    /// The row's blend-log lanes, when logging.
+    log: Option<&'a mut [Vec<Contribution>]>,
     x0: usize,
     fy: f32,
     active: &'a mut Vec<u32>,
@@ -271,9 +347,10 @@ struct RowPass<'a> {
 /// of truth for the blending arithmetic: `INTERIOR = true` monomorphises
 /// away the α-threshold branch (and the negligible counter it guards) that
 /// `splat_covers_tile` proved dead, everything else is byte-for-byte the
-/// checked path.
+/// checked path. `LOG = true` appends every blended contribution to its
+/// pixel's log lane; `LOG = false` compiles the logging out.
 #[inline(always)]
-fn blend_entry_row<const INTERIOR: bool>(pass: &mut RowPass<'_>) {
+fn blend_entry_row<const INTERIOR: bool, const LOG: bool>(pass: &mut RowPass<'_>) {
     let splat = pass.splat;
     let mut i = 0usize;
     while i < pass.active.len() {
@@ -281,7 +358,8 @@ fn blend_entry_row<const INTERIOR: bool>(pass: &mut RowPass<'_>) {
         let pixel = Vec2::new((pass.x0 + px_off) as f32, pass.fy);
         pass.row_evals[px_off] += 1;
         let g = falloff(splat.conic, pixel - splat.mean);
-        let alpha = (splat.opacity * g).min(0.99);
+        let raw_alpha = splat.opacity * g;
+        let alpha = raw_alpha.min(0.99);
         if INTERIOR {
             debug_assert!(alpha >= ALPHA_THRESHOLD, "interior test must be conservative");
         }
@@ -297,6 +375,15 @@ fn blend_entry_row<const INTERIOR: bool>(pass: &mut RowPass<'_>) {
         }
         pass.row_blends[px_off] += 1;
         let t = pass.row_t[px_off];
+        if let Some(lanes) = pass.log.as_deref_mut().filter(|_| LOG) {
+            lanes[px_off].push(Contribution {
+                splat_index: pass.splat_index,
+                alpha,
+                weight: g,
+                t_before: t,
+                clamped: raw_alpha > 0.99,
+            });
+        }
         pass.row_c[px_off] += splat.color * (t * alpha);
         pass.row_d[px_off] += splat.depth * (t * alpha);
         let t = t * (1.0 - alpha);
@@ -320,18 +407,23 @@ fn blend_entry_row<const INTERIOR: bool>(pass: &mut RowPass<'_>) {
 /// early-out, counted in [`RenderStats::saturated_rows`]. Each pixel still
 /// sees the same entries in the same order as the classic pixel-major loop,
 /// so outputs and workload counters are bit-identical to it (enforced by
-/// `row_kernel_matches_pixel_major_reference`).
+/// `row_kernel_matches_pixel_major_reference`). With a `log`, each pixel's
+/// blend list is recorded into it.
 pub(crate) fn rasterize_tile(
     projection: &Projection,
     table: &[TableEntry],
     bounds: (usize, usize, usize, usize),
     tile_idx: usize,
     options: &RenderOptions,
+    mut log: Option<&mut TileLog>,
 ) -> TileRaster {
     let (x0, y0, x1, y1) = bounds;
     let tile_w = x1 - x0;
     let tile_h = y1 - y0;
     let mut out = TileRaster::empty(tile_idx, tile_w, tile_h, options);
+    if let Some(log) = log.as_deref_mut() {
+        log.reset(tile_w);
+    }
     if table.is_empty() {
         return out;
     }
@@ -385,41 +477,34 @@ pub(crate) fn rasterize_tile(
                     continue;
                 }
             }
-            let contrib =
-                options.record_contributions.then(|| out.contributions.get_mut(k)).flatten();
-            if interior[k] {
-                // Interior fast path: every pixel's α is provably at or
-                // above the threshold (`splat_covers_tile`), so the bound
-                // check — and the negligible counter it guards — compiles
-                // out of the monomorphised row kernel. α itself is computed
-                // with the identical arithmetic.
-                blend_entry_row::<true>(&mut RowPass {
-                    splat,
-                    contrib,
-                    x0,
-                    fy,
-                    active: &mut active,
-                    row_t: &mut row_t,
-                    row_c: &mut row_c,
-                    row_d: &mut row_d,
-                    row_evals: &mut row_evals,
-                    row_blends: &mut row_blends,
-                    early_terminated: &mut out.early_terminated,
-                });
-            } else {
-                blend_entry_row::<false>(&mut RowPass {
-                    splat,
-                    contrib,
-                    x0,
-                    fy,
-                    active: &mut active,
-                    row_t: &mut row_t,
-                    row_c: &mut row_c,
-                    row_d: &mut row_d,
-                    row_evals: &mut row_evals,
-                    row_blends: &mut row_blends,
-                    early_terminated: &mut out.early_terminated,
-                });
+            let mut pass = RowPass {
+                splat,
+                splat_index: entry.splat_index,
+                contrib: options
+                    .record_contributions
+                    .then(|| out.contributions.get_mut(k))
+                    .flatten(),
+                log: log.as_deref_mut().map(TileLog::row_lanes),
+                x0,
+                fy,
+                active: &mut active,
+                row_t: &mut row_t,
+                row_c: &mut row_c,
+                row_d: &mut row_d,
+                row_evals: &mut row_evals,
+                row_blends: &mut row_blends,
+                early_terminated: &mut out.early_terminated,
+            };
+            // Interior fast path: every pixel's α is provably at or above the
+            // threshold (`splat_covers_tile`), so the bound check — and the
+            // negligible counter it guards — compiles out of the
+            // monomorphised row kernel. α itself is computed with the
+            // identical arithmetic.
+            match (interior[k], pass.log.is_some()) {
+                (true, false) => blend_entry_row::<true, false>(&mut pass),
+                (false, false) => blend_entry_row::<false, false>(&mut pass),
+                (true, true) => blend_entry_row::<true, true>(&mut pass),
+                (false, true) => blend_entry_row::<false, true>(&mut pass),
             }
             if active.is_empty() {
                 if k + 1 < table.len() {
@@ -429,6 +514,9 @@ pub(crate) fn rasterize_tile(
             }
         }
 
+        if let Some(log) = log.as_deref_mut() {
+            log.flush_row();
+        }
         let row_base = (py - y0) * tile_w;
         for px_off in 0..tile_w {
             out.alpha_evals += row_evals[px_off] as u64;
@@ -469,6 +557,31 @@ pub fn rasterize(
     camera: &PinholeCamera,
     options: &RenderOptions,
 ) -> RenderOutput {
+    rasterize_into(cloud, projection, tables, camera, options, None)
+}
+
+/// [`rasterize`] that also records every pixel's blend list into `log`, for
+/// the [`crate::backward::backward`] pass that follows. The render output is
+/// bit-identical to [`rasterize`]'s.
+pub fn rasterize_logged(
+    cloud: &GaussianCloud,
+    projection: &Projection,
+    tables: &GaussianTables,
+    camera: &PinholeCamera,
+    options: &RenderOptions,
+    log: &mut BlendLog,
+) -> RenderOutput {
+    rasterize_into(cloud, projection, tables, camera, options, Some(log))
+}
+
+fn rasterize_into(
+    cloud: &GaussianCloud,
+    projection: &Projection,
+    tables: &GaussianTables,
+    camera: &PinholeCamera,
+    options: &RenderOptions,
+    log: Option<&mut BlendLog>,
+) -> RenderOutput {
     let mut color = RgbImage::filled(camera.width, camera.height, Vec3::ZERO);
     let mut depth = DepthImage::new(camera.width, camera.height);
     let mut silhouette = GrayImage::new(camera.width, camera.height);
@@ -491,15 +604,23 @@ pub fn rasterize(
     let par =
         options.parallelism.for_workload(tables.total_pairs as usize * pair_work, 1024 * pair_work);
     let backend = options.backend.backend();
-    let outcomes = par_map(&par, tables.tables.len(), 1, |tile_idx| {
+    let raster = |tile_idx: usize, log: Option<&mut TileLog>| {
         backend.rasterize_tile(
             projection,
             &tables.tables[tile_idx],
             tables.grid.tile_bounds(tile_idx),
             tile_idx,
             options,
+            log,
         )
-    });
+    };
+    let outcomes = match log {
+        Some(log) => {
+            log.tiles.resize_with(tables.tables.len(), TileLog::default);
+            par_map_mut(&par, &mut log.tiles, 1, |tile_idx, tile| raster(tile_idx, Some(tile)))
+        }
+        None => par_map(&par, tables.tables.len(), 1, |tile_idx| raster(tile_idx, None)),
+    };
 
     for (tile_idx, outcome) in outcomes.into_iter().enumerate() {
         stats.alpha_evals += outcome.alpha_evals;

@@ -1,12 +1,12 @@
 //! One-call training steps combining forward, loss, backward and update.
 
 use crate::backend::BackendKind;
-use crate::backward::{backward_with, BackwardOutput, GradMode};
+use crate::backward::{backward, BackwardOutput, GradMode};
 use crate::gaussian::GaussianCloud;
 use crate::idset::IdSet;
 use crate::loss::{compute_loss, LossConfig, LossResult};
 use crate::optim::Adam;
-use crate::render::{rasterize, RenderOptions, RenderOutput};
+use crate::render::{rasterize_logged, BlendLog, RenderOptions, RenderOutput};
 use ags_image::{DepthImage, RgbImage};
 use ags_math::parallel::Parallelism;
 use ags_math::Se3;
@@ -29,7 +29,8 @@ pub struct StepReport {
 /// Fig. 2(b) mapping loop.
 ///
 /// `skip` excludes Gaussians from rendering *and* updating — the hook
-/// selective mapping uses.
+/// selective mapping uses. `blend_log` carries the forward pass's blend
+/// lists to the backward pass; reuse one across iterations.
 #[allow(clippy::too_many_arguments)]
 pub fn mapping_step(
     cloud: &mut GaussianCloud,
@@ -41,23 +42,23 @@ pub fn mapping_step(
     loss_config: &LossConfig,
     skip: Option<&IdSet>,
     render_options: &RenderOptions,
+    blend_log: &mut BlendLog,
 ) -> StepReport {
     let mut options = render_options.clone();
     options.skip = skip.map(|s| std::sync::Arc::new(s.clone()));
     let backend = options.backend.backend();
     let projection = backend.project(cloud, camera, pose);
     let tables = backend.build_tables(&projection, camera, &options.parallelism);
-    let render = rasterize(cloud, &projection, &tables, camera, &options);
+    let render = rasterize_logged(cloud, &projection, &tables, camera, &options, blend_log);
     let loss = compute_loss(&render, gt_rgb, gt_depth, loss_config);
-    let back = backward_with(
-        options.backend,
+    let back = backward(
         cloud,
         &projection,
         &tables,
         camera,
         &loss,
+        blend_log,
         GradMode::Map,
-        skip,
         &options.parallelism,
     );
     if let Some(grads) = &back.grads {
@@ -88,10 +89,12 @@ pub fn tracking_gradient(
         gt_depth,
         loss_config,
         par,
+        &mut BlendLog::default(),
     )
 }
 
-/// [`tracking_gradient`] with an explicit render backend.
+/// [`tracking_gradient`] with an explicit render backend and a caller-owned
+/// `blend_log` (reuse one across a refinement's iterations).
 #[allow(clippy::too_many_arguments)]
 pub fn tracking_gradient_with(
     backend: BackendKind,
@@ -102,24 +105,16 @@ pub fn tracking_gradient_with(
     gt_depth: &DepthImage,
     loss_config: &LossConfig,
     par: &Parallelism,
+    blend_log: &mut BlendLog,
 ) -> (LossResult, BackwardOutput, RenderOutput) {
     let options = RenderOptions { parallelism: par.clone(), backend, ..RenderOptions::default() };
     let be = backend.backend();
     let projection = be.project(cloud, camera, pose);
     let tables = be.build_tables(&projection, camera, par);
-    let render = rasterize(cloud, &projection, &tables, camera, &options);
+    let render = rasterize_logged(cloud, &projection, &tables, camera, &options, blend_log);
     let loss = compute_loss(&render, gt_rgb, gt_depth, loss_config);
-    let back = backward_with(
-        backend,
-        cloud,
-        &projection,
-        &tables,
-        camera,
-        &loss,
-        GradMode::Track,
-        None,
-        par,
-    );
+    let back =
+        backward(cloud, &projection, &tables, camera, &loss, blend_log, GradMode::Track, par);
     (loss, back, render)
 }
 
@@ -166,6 +161,7 @@ mod tests {
         let mut adam = Adam::new(AdamConfig { lr_color: 0.05, ..Default::default() });
         let cam = camera();
         let cfg = LossConfig::mapping();
+        let mut log = BlendLog::default();
         let first = mapping_step(
             &mut cloud,
             &mut adam,
@@ -176,6 +172,7 @@ mod tests {
             &cfg,
             None,
             &RenderOptions::default(),
+            &mut log,
         )
         .loss;
         let mut last = first;
@@ -190,6 +187,7 @@ mod tests {
                 &cfg,
                 None,
                 &RenderOptions::default(),
+                &mut log,
             )
             .loss;
         }
@@ -217,6 +215,7 @@ mod tests {
         );
         let mut adam = Adam::new(AdamConfig::default());
         let cfg = LossConfig::mapping();
+        let mut log = BlendLog::default();
         for _ in 0..25 {
             mapping_step(
                 &mut cloud,
@@ -228,6 +227,7 @@ mod tests {
                 &cfg,
                 None,
                 &RenderOptions::default(),
+                &mut log,
             );
         }
         let out = render(&cloud, &cam, &Se3::IDENTITY, &RenderOptions::default());
@@ -259,6 +259,7 @@ mod tests {
             &LossConfig::mapping(),
             Some(&skip),
             &RenderOptions::default(),
+            &mut BlendLog::default(),
         );
         assert_eq!(cloud.gaussians()[1], frozen_before, "skipped gaussian must not move");
         assert_ne!(cloud.gaussians()[0].color, Vec3::splat(0.5), "active gaussian trains");

@@ -8,7 +8,7 @@ use ags_scene::PinholeCamera;
 use ags_splat::backward::{backward, GradMode};
 use ags_splat::loss::{compute_loss, LossConfig, LossKind};
 use ags_splat::project::project_gaussians;
-use ags_splat::render::{rasterize, RenderOptions};
+use ags_splat::render::{rasterize, rasterize_logged, BlendLog, RenderOptions};
 use ags_splat::tiles::GaussianTables;
 use ags_splat::{Gaussian, GaussianCloud};
 
@@ -84,7 +84,15 @@ fn pose_gradient_descends_on_dense_scenes() {
         let (cloud, cam, gt_rgb, gt_depth) = fixture(6, seed);
         let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
         let tables = GaussianTables::build(&projection, &cam);
-        let out = rasterize(&cloud, &projection, &tables, &cam, &RenderOptions::default());
+        let mut log = BlendLog::default();
+        let out = rasterize_logged(
+            &cloud,
+            &projection,
+            &tables,
+            &cam,
+            &RenderOptions::default(),
+            &mut log,
+        );
         let loss = compute_loss(&out, &gt_rgb, &gt_depth, &l2());
         let back = backward(
             &cloud,
@@ -92,8 +100,8 @@ fn pose_gradient_descends_on_dense_scenes() {
             &tables,
             &cam,
             &loss,
+            &log,
             GradMode::Track,
-            None,
             &Parallelism::serial(),
         );
         let pg = back.pose.expect("track mode produces pose grads");
@@ -126,7 +134,9 @@ fn parameter_gradient_matches_fd_directional() {
     let (cloud, cam, gt_rgb, gt_depth) = fixture(5, 17);
     let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
     let tables = GaussianTables::build(&projection, &cam);
-    let out = rasterize(&cloud, &projection, &tables, &cam, &RenderOptions::default());
+    let mut log = BlendLog::default();
+    let out =
+        rasterize_logged(&cloud, &projection, &tables, &cam, &RenderOptions::default(), &mut log);
     let loss = compute_loss(&out, &gt_rgb, &gt_depth, &l2());
     let back = backward(
         &cloud,
@@ -134,8 +144,8 @@ fn parameter_gradient_matches_fd_directional() {
         &tables,
         &cam,
         &loss,
+        &log,
         GradMode::Map,
-        None,
         &Parallelism::serial(),
     );
     let grads = back.grads.expect("map mode produces parameter grads");

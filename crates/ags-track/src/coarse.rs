@@ -244,8 +244,8 @@ impl CoarseTracker {
     /// from the refined pose).
     pub fn correct_pose(&mut self, refined: Se3) {
         if let Some(prev) = self.previous.as_mut() {
-            // Also correct the velocity so the motion model stays consistent:
-            // rel_estimated was relative to the uncorrected pose.
+            // Only the pose is rebased. The constant-velocity model keeps the
+            // relative motion estimated against the uncorrected pose.
             prev.pose = refined;
         }
     }

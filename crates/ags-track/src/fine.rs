@@ -11,7 +11,7 @@ use ags_math::Se3;
 use ags_scene::PinholeCamera;
 use ags_splat::loss::LossConfig;
 use ags_splat::optim::PoseAdam;
-use ags_splat::render::RenderStats;
+use ags_splat::render::{BlendLog, RenderStats};
 use ags_splat::train::tracking_gradient_with;
 use ags_splat::{BackendKind, CloudSnapshot, GaussianCloud};
 
@@ -140,6 +140,7 @@ impl GsPoseRefiner {
         let mut initial_loss = 0.0f32;
         let mut best_loss = f32::INFINITY;
         let mut prev_loss = f32::INFINITY;
+        let mut blend_log = BlendLog::default();
 
         for iter in 0..iterations {
             let (loss, back, render) = tracking_gradient_with(
@@ -151,6 +152,7 @@ impl GsPoseRefiner {
                 gt_depth,
                 &self.config.loss,
                 &self.config.parallelism,
+                &mut blend_log,
             );
             accumulate_stats(&mut workload.render, &render.stats);
             workload.grad_ops += back.stats.grad_ops;
